@@ -1,59 +1,12 @@
-//! A counting global allocator for the harness.
+//! The harness's counting global allocator.
 //!
-//! The zero-allocation datapath claim ("a steady-state simulated cycle
-//! performs zero heap allocations") is asserted, not assumed: the bench
-//! binaries install [`CountingAlloc`] as the global allocator, snapshot
-//! the counter around a measured inference burst, and fail the run if
-//! the fast path allocated. The counter is a single relaxed atomic —
-//! negligible overhead on top of the system allocator.
+//! The bench library installs [`CountingAlloc`] globally (see the crate
+//! root), and `harness bench` wraps each measured inference burst in
+//! [`count_allocations`] to certify the zero-allocation steady-state
+//! datapath. The counter itself lives in `shidiannao_core::alloc_count`,
+//! shared with the core crate's own allocation tests.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// A [`System`]-backed allocator that counts every allocation
-/// (`alloc`, `alloc_zeroed`, and growing `realloc` calls all count as
-/// one; `dealloc` is free and uncounted).
-pub struct CountingAlloc;
-
-// SAFETY: delegates every operation verbatim to `System`; the counter
-// does not influence allocation behaviour.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-/// Heap allocations counted since process start (whole process, all
-/// threads).
-pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Runs `f` and returns `(allocations during f, f's result)`. Only
-/// meaningful when [`CountingAlloc`] is installed as the global
-/// allocator and no other thread allocates concurrently.
-pub fn count_allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = allocation_count();
-    let value = f();
-    (allocation_count() - before, value)
-}
+pub use shidiannao_core::alloc_count::{allocation_count, count_allocations, CountingAlloc};
 
 #[cfg(test)]
 mod tests {
@@ -75,5 +28,25 @@ mod tests {
         let (allocs, sum) = count_allocations(|| (0u64..64).sum::<u64>());
         assert_eq!(allocs, 0);
         assert_eq!(sum, 2016);
+    }
+
+    #[test]
+    fn zeroed_allocations_are_counted() {
+        let (allocs, v) = count_allocations(|| vec![0u64; 1024]);
+        assert!(allocs >= 1, "alloc_zeroed went uncounted");
+        assert_eq!(v.len(), 1024);
+    }
+
+    #[test]
+    fn other_threads_do_not_leak_into_the_count() {
+        let (allocs, v) = count_allocations(|| {
+            std::thread::spawn(|| (0..1000).map(|i| vec![i; 16]).collect::<Vec<_>>().len())
+                .join()
+                .expect("worker runs")
+        });
+        assert_eq!(v, 1000);
+        // Spawning and joining allocate a handful of times on this
+        // thread; the worker's thousand vectors must not be counted.
+        assert!(allocs < 100, "counted {allocs} allocations");
     }
 }

@@ -11,12 +11,12 @@
 //!   bit-identical to serial.
 //! * **Throughput rows** — per benchmark, one `prepare` followed by a
 //!   warmed-up burst of `Session::infer_ref` calls through the
-//!   zero-allocation fast kernel, reported as simulated cycles/sec and
+//!   zero-allocation replayed datapath, reported as simulated cycles/sec and
 //!   inferences/sec next to the legacy one-shot `Accelerator::run` and
 //!   the frozen PR-1 baseline. Each row also carries a *correctness
 //!   certificate*: the heap allocations counted during the burst (must
 //!   be zero in steady state) and whether all four execution paths
-//!   (legacy one-shot, instrumented `Session::run`, fast-kernel
+//!   (legacy one-shot, instrumented `Session::run`, trace-free
 //!   `Session::infer` and `Session::infer_ref`) produced bit-identical
 //!   outputs, statistics, and energy.
 //!
@@ -262,7 +262,7 @@ pub struct ThroughputRow {
     /// zero-allocation datapath claim requires this to be exactly 0.
     pub steady_state_allocs: u64,
     /// Whether the legacy one-shot, instrumented session run, and the
-    /// fast-kernel `infer`/`infer_ref` paths agreed bit-for-bit on
+    /// trace-free `infer`/`infer_ref` paths agreed bit-for-bit on
     /// outputs, statistics, and energy.
     pub paths_bit_identical: bool,
     /// Traced `Session::run` inferences in each instrumented burst.
@@ -351,8 +351,8 @@ pub struct ThroughputRow {
 }
 
 impl ThroughputRow {
-    /// Legacy / session wall-clock ratio: what buffer reuse plus the SoA
-    /// fast kernel buy over re-preparing and re-instrumenting each run.
+    /// Legacy / session wall-clock ratio: what buffer reuse plus the
+    /// warm session buy over re-preparing and re-instrumenting each run.
     pub fn session_speedup(&self) -> f64 {
         if self.wall_s == 0.0 || self.legacy_inferences == 0 {
             return 0.0;
@@ -668,7 +668,7 @@ impl PerfReport {
                 },
             );
         }
-        out += "Prepared-session throughput (fast kernel, warmed burst)\n\
+        out += "Prepared-session throughput (warmed burst)\n\
                 CNN          cycles/inf   sim cycles/s   inf/s   vs one-shot  vs PR-1  allocs  4-path\n";
         for t in &self.throughput {
             out += &format!(
@@ -846,16 +846,16 @@ fn measure_one(
     let prepare_s = start.elapsed().as_secs_f64();
 
     // Certificate: legacy one-shot, instrumented session run, and the
-    // fast-kernel infer/infer_ref must agree bit-for-bit on outputs,
+    // trace-free infer/infer_ref must agree bit-for-bit on outputs,
     // statistics, and energy before any of them is worth timing.
     let legacy = accel
         .run(&net, &input)
         .expect("benchmarks fit the paper config");
     let mut session = prepared.session();
     let run = session.run(&input).expect("instrumented session run");
-    let inf = session.infer(&input).expect("fast-kernel infer");
+    let inf = session.infer(&input).expect("trace-free infer");
     let paths_bit_identical = {
-        let r = session.infer_ref(&input).expect("fast-kernel infer_ref");
+        let r = session.infer_ref(&input).expect("trace-free infer_ref");
         r.output() == inf.output() && r.stats() == inf.stats() && r.energy() == inf.energy()
     } && run.output() == legacy.output()
         && inf.output_flat() == legacy.output()

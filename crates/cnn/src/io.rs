@@ -6,6 +6,11 @@
 //! little-endian binary format (`SDNN`, version 1) holding the topology
 //! and the 16-bit fixed-point weights, so a [`Network`] round-trips
 //! through files byte-exactly.
+//!
+//! [`load`] treats its input as untrusted: every buffer grows only as the
+//! bytes that fill it are read, so a crafted header count fails with a
+//! [`FormatError`] at end of input instead of aborting on a huge
+//! allocation.
 
 use crate::layer::{Activation, LcnSpec, LrnSpec, PoolKind, Rounding};
 use crate::network::{gaussian_window, Layer, LayerBody, Network};
@@ -18,6 +23,9 @@ use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"SDNN";
 const VERSION: u16 = 1;
+/// Largest LCN window [`load`] accepts. The layer's Gaussian weights are
+/// derived, not stored, so no file bytes bound their size; this does.
+const MAX_LCN_WINDOW: usize = 1023;
 
 /// Error produced while reading a model file.
 #[derive(Debug)]
@@ -256,7 +264,7 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
         return Err(FormatError::Corrupt(format!("layer count {layer_count}")));
     }
 
-    let mut layers = Vec::with_capacity(layer_count);
+    let mut layers = Vec::new();
     let mut maps = input_maps;
     let mut dims = input_dims;
     for index in 0..layer_count {
@@ -274,31 +282,35 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
                 if kernel.0 > dims.0 || kernel.1 > dims.1 || stride.0 == 0 || stride.1 == 0 {
                     return Err(corrupt("kernel exceeds input"));
                 }
-                let mut lists = Vec::with_capacity(out_maps);
-                let mut kernels = Vec::with_capacity(out_maps);
-                let mut biases = Vec::with_capacity(out_maps);
+                let taps = kernel
+                    .0
+                    .checked_mul(kernel.1)
+                    .ok_or_else(|| corrupt("kernel size overflows"))?;
+                let mut lists = Vec::new();
+                let mut kernels = Vec::new();
+                let mut biases = Vec::new();
                 for _ in 0..out_maps {
                     let conn_len = r.usize32()?;
                     if conn_len == 0 || conn_len > maps {
                         return Err(corrupt("bad connection count"));
                     }
-                    let mut conn = Vec::with_capacity(conn_len);
+                    let mut conn = Vec::new();
                     for _ in 0..conn_len {
                         let i = r.usize32()?;
-                        if i >= maps {
-                            return Err(corrupt("connection out of range"));
+                        if i >= maps || conn.last().is_some_and(|&p| p >= i) {
+                            return Err(corrupt("connections must ascend in range"));
                         }
                         conn.push(i);
                     }
                     biases.push(r.fx()?);
-                    let mut ks = Vec::with_capacity(conn_len);
+                    let mut ks = Vec::new();
                     for _ in 0..conn_len {
-                        let mut k = FeatureMap::filled(kernel.0, kernel.1, Fx::ZERO);
-                        for ky in 0..kernel.1 {
-                            for kx in 0..kernel.0 {
-                                k[(kx, ky)] = r.fx()?;
-                            }
+                        let mut k = Vec::new();
+                        for _ in 0..taps {
+                            k.push(r.fx()?);
                         }
+                        let k = FeatureMap::from_vec(kernel.0, kernel.1, k)
+                            .map_err(|e| corrupt(&e.to_string()))?;
                         ks.push(k);
                     }
                     lists.push(conn);
@@ -376,19 +388,22 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
             2 => {
                 let out_count = r.usize32()?;
                 let activation = act_from(r.u8()?)?;
-                let in_count = maps * dims.0 * dims.1;
+                let in_count = maps
+                    .checked_mul(dims.0)
+                    .and_then(|n| n.checked_mul(dims.1))
+                    .ok_or_else(|| corrupt("classifier input count overflows"))?;
                 if out_count == 0 {
                     return Err(corrupt("degenerate classifier"));
                 }
-                let mut rows = Vec::with_capacity(out_count);
-                let mut biases = Vec::with_capacity(out_count);
+                let mut rows = Vec::new();
+                let mut biases = Vec::new();
                 for _ in 0..out_count {
                     let row_len = r.usize32()?;
                     if row_len == 0 || row_len > in_count {
                         return Err(corrupt("bad row length"));
                     }
                     biases.push(r.fx()?);
-                    let mut row = Vec::with_capacity(row_len);
+                    let mut row = Vec::new();
                     let mut prev: Option<usize> = None;
                     for _ in 0..row_len {
                         let i = r.usize32()?;
@@ -433,7 +448,8 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
             }
             4 => {
                 let window = r.usize32()?;
-                if window % 2 == 0 || window == 0 || window > dims.0 || window > dims.1 {
+                if window % 2 == 0 || window > MAX_LCN_WINDOW || window > dims.0 || window > dims.1
+                {
                     return Err(corrupt("bad LCN window"));
                 }
                 let gauss = gaussian_window(window, maps);
@@ -462,6 +478,24 @@ pub fn load<R: Read>(reader: R) -> Result<Network, FormatError> {
 mod tests {
     use super::*;
     use crate::zoo;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    /// Every zoo network (LRN and LCN layers included), saved once.
+    fn saved_zoo() -> &'static [Vec<u8>] {
+        static SAVED: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+        SAVED.get_or_init(|| {
+            zoo::all()
+                .into_iter()
+                .chain(zoo::extended::all())
+                .map(|b| {
+                    let mut buf = Vec::new();
+                    save(&b.build(9).unwrap(), &mut buf).unwrap();
+                    buf
+                })
+                .collect()
+        })
+    }
 
     fn round_trip(net: &Network) -> Network {
         let mut buf = Vec::new();
@@ -533,6 +567,54 @@ mod tests {
         buf[layer_count_pos] = 0xFF;
         buf[layer_count_pos + 1] = 0xFF;
         assert!(load(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn huge_header_counts_fail_instead_of_aborting() {
+        // 46 bytes: an unnamed one-map 1×1 input, then one conv layer
+        // claiming u32::MAX output maps, then end of file.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes());
+        for v in [1u32, 1, 1, 1] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.push(0);
+        for v in [u32::MAX, 1, 1, 1, 1] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.push(0);
+        assert_eq!(buf.len(), 46);
+        let err = load(buf.as_slice()).unwrap_err();
+        assert!(matches!(err, FormatError::Io(_)), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Truncated and bit-flipped model files make `load` return —
+        /// a network or a `FormatError` — and never panic or abort. The
+        /// kept prefix and the flipped byte offsets are log-uniform, so
+        /// flips often land in the header and the first layers' counts.
+        #[test]
+        fn damaged_files_never_panic_the_loader(
+            net in 0usize..13,
+            keep in 4u32..28,
+            flips in proptest::collection::vec((1u32..24, 0usize..1 << 24, 1u8..=255), 0..4),
+        ) {
+            let mut buf = saved_zoo()[net].clone();
+            let full = buf.len();
+            buf.truncate(1 << keep);
+            let len = buf.len();
+            for &(scale, at, mask) in &flips {
+                buf[at % (1 << scale) % len] ^= mask;
+            }
+            let loaded = load(buf.as_slice());
+            if flips.is_empty() && len < full {
+                prop_assert!(loaded.is_err());
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::exec::{replay, Engine, Scratch};
 use crate::hfsm::{FirstState, Hfsm};
 use crate::nfu::Nfu;
 use crate::sb::SynapseStore;
-use crate::schedule::{self, LayerOverlay, NetworkSchedule, ScheduleRecorder};
+use crate::schedule::{self, LayerOverlay, LayerSchedule, NetworkSchedule, ScheduleRecorder};
 use crate::stats::{LayerStats, RunStats};
 use core::fmt;
 use shidiannao_cnn::{LayerBody, Network};
@@ -499,7 +499,7 @@ impl PreparedNetwork {
             last_cycles: 0,
             replay_enabled: true,
             optimized: false,
-            overlays: Vec::new(),
+            overlays: Arc::from([]),
             overlays_valid: false,
             pending_delta_bytes: None,
             recorder: None,
@@ -665,7 +665,7 @@ pub struct Session<'p> {
     optimized: bool,
     /// Per-layer fault overlays, resolved lazily from the schedule the
     /// first faulted run after a plan change, then reused run after run.
-    overlays: Vec<LayerOverlay>,
+    overlays: Arc<[LayerOverlay]>,
     overlays_valid: bool,
     /// Load-phase bytes staged by [`Session::infer_delta`] for the next
     /// run; `None` means cold (full) load. Consumed at the top of
@@ -984,8 +984,8 @@ impl<'p> Session<'p> {
         let mut fault_snapshot = FaultStats::default();
         for (lane, input) in inputs.iter().enumerate() {
             if lane == 0 {
-                // The canonical lane: full instrumented (or analytic /
-                // replay) execution, exactly as `infer` would run it.
+                // The canonical lane: full instrumented (or replay)
+                // execution, exactly as `infer` would run it.
                 self.execute(input, None)?;
                 fault_snapshot = *self.faults.stats();
             } else {
@@ -997,8 +997,9 @@ impl<'p> Session<'p> {
             outputs[lane].clone_from_recycling(installed, &mut self.map_bin);
         }
         // Value lanes filtered their own data faults (bit-identical flips
-        // at the plan's input-independent addresses) but must not charge
-        // the counters again: restore the canonical lane's snapshot.
+        // at the plan's input-independent addresses) and absorbed the
+        // replayed layers' counter deltas, but must not charge the
+        // counters again: restore the canonical lane's snapshot.
         self.faults.reset_stats();
         self.faults.absorb_stats(&fault_snapshot);
 
@@ -1054,42 +1055,6 @@ impl<'p> Session<'p> {
         let store = &self.prepared.store;
         self.nfu.reset();
         let mut hfsm = Hfsm::new();
-        // Fast-kernel selection (§perf in DESIGN.md): the bulk-SoA sweep
-        // kernel runs only when nothing needs per-word / per-PE
-        // instrumentation — no fault plan filtering SRAM reads, no
-        // stuck-at faults installed in the mesh, no layer trace being
-        // recorded, and no schedule recorder attached. It is
-        // bit-identical to the instrumented path in outputs, statistics,
-        // and energy.
-        let fast = trace.is_none()
-            && !self.faults.active()
-            && !self.nfu.any_stuck()
-            && self.recorder.is_none();
-        // Schedule-replay selection (§3f in DESIGN.md): replay covers
-        // traced and silently-faulted runs too — that is its point — but
-        // stuck-at PEs corrupt values inside the propagation network in
-        // ways the precompiled stream does not model, and the recording
-        // run itself must live-decode.
-        let schedule = Arc::clone(&self.schedule);
-        let use_replay = self.replay_enabled
-            && self.recorder.is_none()
-            && !self.nfu.any_stuck()
-            && schedule.layer_count() == network.layers().len();
-        if use_replay && self.faults.active() && !self.overlays_valid {
-            // Resolve the plan against the schedule once; every
-            // subsequent run under this plan reuses the overlays.
-            self.overlays.clear();
-            let plan = *self.faults.plan();
-            self.overlays.extend(
-                schedule
-                    .layers()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, ls)| schedule::build_overlay(&plan, i, ls)),
-            );
-            self.overlays_valid = true;
-        }
-
         // Load phase: the sensor/host streams the image into NBin at one
         // bank-width write per cycle. A staged delta-load
         // ([`Session::infer_delta`]) streams only the dirty rows; the
@@ -1122,39 +1087,10 @@ impl<'p> Session<'p> {
                 self.faults
                     .filter_word(FaultSite::Ib, i + 1, [f as u64, 0, 0])?;
             }
-            // Replay decision for this layer: the schedule must model it,
-            // and its fault overlay must not contain a detected error —
-            // detected errors abort mid-layer with exact partial
-            // statistics only live decode reproduces.
-            let sched_layer = if use_replay {
-                Some(&schedule.layers()[i])
-            } else {
-                None
-            };
-            let overlay = if sched_layer.is_some() && self.faults.active() {
-                Some(&self.overlays[i])
-            } else {
-                None
-            };
-            let replay_this = sched_layer.is_some_and(|l| l.replayable())
-                && !matches!(overlay, Some(LayerOverlay::Abort));
-            let mut sb_patches: &[([u64; 3], u16)] = &[];
-            if replay_this {
-                if let Some(LayerOverlay::Silent(s)) = overlay {
-                    // Pre-resolve the layer's silent faults: NB flips go
-                    // into the input stack in place, SB flips patch at
-                    // fetch, and the counter delta lands in one absorb.
-                    if !s.nb_patches.is_empty() {
-                        let sl = sched_layer.expect("replay_this implies a schedule");
-                        let stack = self.nbin.contents_mut().ok_or(EmptyBufferError {
-                            buffer: "NB (input role)",
-                        })?;
-                        schedule::apply_nb_patches(stack, sl.nb_flat, &s.nb_patches);
-                    }
-                    self.faults.absorb_stats(&s.delta);
-                    sb_patches = &s.sb_patches;
-                }
-            }
+            // Chosen after the fetches, so an IB abort charges none of the
+            // layer's replayed fault counters.
+            let route = self.replay_route(i)?;
+            let layer_stats = self.stats.current_layer_mut();
             if let Some(rec) = self.recorder.as_deref_mut() {
                 rec.begin_layer(
                     schedule::layer_replayable(cfg, layer),
@@ -1175,7 +1111,6 @@ impl<'p> Session<'p> {
                 stats: &mut *layer_stats,
                 faults: &mut self.faults,
                 scratch: &mut self.scratch,
-                fast,
                 recorder: if attach_recorder {
                     self.recorder.as_deref_mut()
                 } else {
@@ -1184,9 +1119,9 @@ impl<'p> Session<'p> {
             };
             // On an abort the slot keeps the layer's cycles so watchdog
             // budgets can charge the wasted attempt.
-            match sched_layer {
-                Some(sl) if replay_this => replay::run_layer(&mut engine, layer, sl, sb_patches)?,
-                _ => engine.run_layer(layer)?,
+            match &route {
+                Some(r) => replay::run_layer(&mut engine, layer, r.layer(), r.sb_patches())?,
+                None => engine.run_layer(layer)?,
             }
             if let Some(rec) = self.recorder.as_deref_mut() {
                 // Snapshot the layer's stats delta *before* bank-conflict
@@ -1246,50 +1181,13 @@ impl<'p> Session<'p> {
         let store = &self.prepared.store;
         self.nfu.reset();
         let mut hfsm = Hfsm::new();
-        // Mirror `execute_inner`'s path selection exactly (the canonical
-        // lane resolved any fault overlays already).
-        let fast = !self.faults.active() && !self.nfu.any_stuck() && self.recorder.is_none();
-        let schedule = Arc::clone(&self.schedule);
-        let use_replay = self.replay_enabled
-            && self.recorder.is_none()
-            && !self.nfu.any_stuck()
-            && schedule.layer_count() == network.layers().len();
-        debug_assert!(
-            !(use_replay && self.faults.active()) || self.overlays_valid,
-            "the canonical lane resolves overlays before value lanes run"
-        );
-
         hfsm.enter(FirstState::Load).expect("HFSM: load");
         self.nbin.load_from(input)?;
 
         for (i, layer) in network.layers().iter().enumerate() {
             let (ow, oh) = layer.out_dims();
             self.nbout.begin_output(ow, oh, layer.out_maps())?;
-            let sched_layer = if use_replay {
-                Some(&schedule.layers()[i])
-            } else {
-                None
-            };
-            let overlay = if sched_layer.is_some() && self.faults.active() {
-                Some(&self.overlays[i])
-            } else {
-                None
-            };
-            let replay_this = sched_layer.is_some_and(|l| l.replayable())
-                && !matches!(overlay, Some(LayerOverlay::Abort));
-            let mut sb_patches: &[([u64; 3], u16)] = &[];
-            if replay_this {
-                if let Some(LayerOverlay::Silent(s)) = overlay {
-                    if !s.nb_patches.is_empty() {
-                        let sl = sched_layer.expect("replay_this implies a schedule");
-                        let stack = self.nbin.contents_mut().ok_or(EmptyBufferError {
-                            buffer: "NB (input role)",
-                        })?;
-                        schedule::apply_nb_patches(stack, sl.nb_flat, &s.nb_patches);
-                    }
-                    sb_patches = &s.sb_patches;
-                }
-            }
+            let route = self.replay_route(i)?;
             // Metering discard: live-decoded layers (non-replayable ones,
             // or all of them with replay off) still charge *something*;
             // it is identical to what the canonical lane charged, so it
@@ -1308,14 +1206,13 @@ impl<'p> Session<'p> {
                 stats: &mut discard,
                 faults: &mut self.faults,
                 scratch: &mut self.scratch,
-                fast,
                 recorder: None,
             };
-            match sched_layer {
-                Some(sl) if replay_this => {
-                    replay::layer_values(&mut engine, layer, sb_patches, sl.row_lanes())
+            match &route {
+                Some(r) => {
+                    replay::layer_values(&mut engine, layer, r.sb_patches(), r.layer().row_lanes())
                 }
-                _ => engine.run_layer(layer)?,
+                None => engine.run_layer(layer)?,
             }
             self.nbout.finish_output_into_input()?;
             core::mem::swap(&mut self.nbin, &mut self.nbout);
@@ -1323,6 +1220,88 @@ impl<'p> Session<'p> {
         hfsm.enter(FirstState::End).expect("HFSM: end");
 
         Ok(())
+    }
+
+    /// The replay-or-live choice for layer `i`, made here once for the
+    /// canonical lane ([`Session::execute`]) and the value lanes
+    /// ([`Session::execute_values`]) alike. Returns the replay route, or
+    /// `None` when the layer live-decodes.
+    ///
+    /// Replay covers traced and silently-faulted runs too — that is its
+    /// point — but stuck-at PEs corrupt values inside the propagation
+    /// network in ways the precompiled stream does not model, the
+    /// recording run itself must live-decode, and so must layers the
+    /// schedule does not model (§3f in DESIGN.md) or whose fault overlay
+    /// contains a detected error: those abort mid-layer with exact
+    /// partial statistics only live decode reproduces.
+    ///
+    /// A replayed layer under a silent overlay has its NB flips applied
+    /// to the installed input here and its fault-counter delta absorbed
+    /// in one call; its SB flips ride on the route, patched at fetch.
+    fn replay_route(&mut self, i: usize) -> Result<Option<ReplayRoute>, RunError> {
+        if !self.replay_enabled
+            || self.recorder.is_some()
+            || self.nfu.any_stuck()
+            || self.schedule.layer_count() != self.prepared.network.layers().len()
+        {
+            return Ok(None);
+        }
+        let faulted = self.faults.active();
+        if faulted && !self.overlays_valid {
+            // Resolve the plan against the schedule once; every
+            // subsequent run under this plan reuses the overlays.
+            let plan = *self.faults.plan();
+            self.overlays = self
+                .schedule
+                .layers()
+                .iter()
+                .enumerate()
+                .map(|(l, ls)| schedule::build_overlay(&plan, l, ls))
+                .collect();
+            self.overlays_valid = true;
+        }
+        let sched = &self.schedule.layers()[i];
+        let overlay = faulted.then(|| &self.overlays[i]);
+        if !sched.replayable() || matches!(overlay, Some(LayerOverlay::Abort)) {
+            return Ok(None);
+        }
+        if let Some(LayerOverlay::Silent(s)) = overlay {
+            if !s.nb_patches.is_empty() {
+                let stack = self.nbin.contents_mut().ok_or(EmptyBufferError {
+                    buffer: "NB (input role)",
+                })?;
+                schedule::apply_nb_patches(stack, sched.nb_flat, &s.nb_patches);
+            }
+            self.faults.absorb_stats(&s.delta);
+        }
+        Ok(Some(ReplayRoute {
+            schedule: Arc::clone(&self.schedule),
+            overlays: faulted.then(|| Arc::clone(&self.overlays)),
+            layer: i,
+        }))
+    }
+}
+
+/// A layer routed to schedule replay by [`Session::replay_route`].
+struct ReplayRoute {
+    schedule: Arc<NetworkSchedule>,
+    /// The run's fault overlays, when a plan is active.
+    overlays: Option<Arc<[LayerOverlay]>>,
+    layer: usize,
+}
+
+impl ReplayRoute {
+    /// The layer's recorded control stream.
+    fn layer(&self) -> &LayerSchedule {
+        &self.schedule.layers()[self.layer]
+    }
+
+    /// The overlay's silent SB flips (empty on clean runs).
+    fn sb_patches(&self) -> &[([u64; 3], u16)] {
+        match self.overlays.as_deref().map(|o| &o[self.layer]) {
+            Some(LayerOverlay::Silent(s)) => &s.sb_patches,
+            _ => &[],
+        }
     }
 }
 

@@ -10,9 +10,9 @@
 //! input stack, SB words patched at fetch below), and only the
 //! arithmetic that actually produces neuron values runs — in exactly
 //! the per-accumulator operation order of the instrumented path, on the
-//! real PE mesh, so outputs are bit-identical by construction (the same
-//! argument, op for op, that proves the analytic fast kernel in
-//! `window.rs`).
+//! real PE mesh, so outputs are bit-identical by construction to the
+//! per-PE sweep in `window.rs` (see the bit-identity contract in
+//! `values.rs`).
 //!
 //! Layers the replay executor does not model — normalization layers and
 //! multi-map-packed convolutions ([`crate::schedule::layer_replayable`])

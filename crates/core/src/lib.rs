@@ -46,6 +46,7 @@
 // `assert!`/`.expect()` which these lints deliberately do not cover.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
+pub mod alloc_count;
 pub mod area;
 pub mod compiler;
 pub mod energy;

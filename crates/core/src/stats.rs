@@ -292,6 +292,17 @@ impl RunStats {
         &mut self.layers[self.live - 1]
     }
 
+    /// The slot the most recent [`RunStats::begin_layer`] handed out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no layer has begun since the last restart.
+    pub(crate) fn current_layer_mut(&mut self) -> &mut LayerStats {
+        self.layers[..self.live]
+            .last_mut()
+            .expect("a layer has begun")
+    }
+
     /// Per-layer counters, in execution order.
     pub fn layers(&self) -> &[LayerStats] {
         &self.layers[..self.live]

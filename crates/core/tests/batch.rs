@@ -8,34 +8,13 @@
 
 use proptest::prelude::*;
 use shidiannao_cnn::{Activation, ConvSpec, FcSpec, LrnSpec, Network, NetworkBuilder, PoolSpec};
+use shidiannao_core::alloc_count::{count_allocations, CountingAlloc};
 use shidiannao_core::{
     Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, RunError, SramProtection,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counting allocator for the zero-allocation gate: every `alloc` and
-/// growing `realloc` bumps the counter; the gated region diffs it.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
+/// The zero-allocation gate counts per thread, so tests running beside
+/// it cannot leak allocations into its count.
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -255,15 +234,15 @@ fn steady_state_batched_inference_allocates_nothing() {
             .expect("batch runs");
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..5 {
-        let batch = session
-            .infer_batch_into(&inputs, &mut outputs)
-            .expect("batch runs");
-        assert!(batch.stats().cycles() > 0);
-        assert_eq!(batch.len(), inputs.len());
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let (allocs, ()) = count_allocations(|| {
+        for _ in 0..5 {
+            let batch = session
+                .infer_batch_into(&inputs, &mut outputs)
+                .expect("batch runs");
+            assert!(batch.stats().cycles() > 0);
+            assert_eq!(batch.len(), inputs.len());
+        }
+    });
     assert_eq!(
         allocs, 0,
         "steady-state infer_batch_into must not touch the heap"

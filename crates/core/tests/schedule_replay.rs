@@ -2,8 +2,8 @@
 //! replaying a layer's recorded control stream must be bit-identical to
 //! live HFSM decode — outputs, per-layer traces, statistics, energy,
 //! fault counters, and (for detected faults) the exact abort cycle —
-//! across random topologies, seeds, fault rates, protections, and
-//! stuck-PE sets. Plus the sharing contract: every session holds one
+//! across random topologies, seeds, fault rates, protections, stuck-PE
+//! sets, and the Fig. 7 / §10.2 ablation configs. Plus the sharing contract: every session holds one
 //! `Arc` clone of its prepared network's schedule, never a copy.
 
 use proptest::prelude::*;
@@ -85,6 +85,19 @@ fn rates() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0), Just(1e-4), Just(1e-3), Just(1e-2)]
 }
 
+/// The config ablations applied on top of a base config: none, Fig. 7's
+/// no-propagation series (every PE re-reads NBin each cycle, so the live
+/// per-PE sweep runs without FIFOs), and §10.2's multi-map packing
+/// (packed conv layers live-decode on both sessions).
+fn ablations() -> impl Strategy<Value = fn(AcceleratorConfig) -> AcceleratorConfig> {
+    type Ablation = fn(AcceleratorConfig) -> AcceleratorConfig;
+    prop_oneof![
+        Just(std::convert::identity as Ablation),
+        Just(AcceleratorConfig::without_propagation as Ablation),
+        Just(AcceleratorConfig::with_multi_map_packing as Ablation),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -99,6 +112,7 @@ proptest! {
         py in 2usize..9,
         rate in rates(),
         protection in protections(),
+        ablate in ablations(),
         seed in 0u64..1000,
     ) {
         prop_assume!(k <= w);
@@ -108,7 +122,7 @@ proptest! {
             .unwrap();
         check_replay_matches_live(
             &net,
-            AcceleratorConfig::with_pe_grid(px, py),
+            ablate(AcceleratorConfig::with_pe_grid(px, py)),
             plan(seed ^ 0xF00D, rate, protection, 0.0),
             seed ^ 77,
         )?;
@@ -123,6 +137,7 @@ proptest! {
         out in 1usize..20,
         rate in rates(),
         protection in protections(),
+        ablate in ablations(),
         seed in 0u64..1000,
     ) {
         let pool = if avg { PoolSpec::avg((2, 2)) } else { PoolSpec::max((2, 2)) };
@@ -135,7 +150,7 @@ proptest! {
             .unwrap();
         check_replay_matches_live(
             &net,
-            AcceleratorConfig::paper(),
+            ablate(AcceleratorConfig::paper()),
             plan(seed ^ 0xBEEF, rate, protection, 0.0),
             seed,
         )?;

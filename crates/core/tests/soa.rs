@@ -1,9 +1,9 @@
 //! Property-based equivalence for the zero-allocation SoA datapath:
 //! the `read_into` buffer variants must be bit-identical (values *and*
-//! metering) to the legacy `Vec`-returning reads, and the fast bulk-SoA
-//! sweep kernel must be bit-identical (outputs, statistics, energy) to
-//! the instrumented per-PE path — including disabling itself under an
-//! active fault plan.
+//! metering) to the legacy `Vec`-returning reads, and every session
+//! entry point on the production executor (schedule replay) must be
+//! bit-identical (outputs, statistics, energy, fault counters) to live
+//! HFSM decode through the per-PE sweep — clean and under fault plans.
 
 use proptest::prelude::*;
 use shidiannao_cnn::{Activation, ConvSpec, FcSpec, NetworkBuilder, PoolSpec};
@@ -144,12 +144,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The fast bulk-SoA kernel (`Session::infer` / `infer_ref`), the
-    /// instrumented per-PE path (`Session::run`), and the legacy one-shot
-    /// (`Accelerator::run`) agree bit-for-bit on outputs, statistics, and
-    /// energy across random geometries — and all match the golden model.
+    /// The replayed session entry points (`Session::run` / `infer` /
+    /// `infer_ref`) and the legacy one-shot (`Accelerator::run`) agree
+    /// bit-for-bit on outputs, statistics, and energy with a live-decode
+    /// session (replay off, the per-PE sweep) across random geometries —
+    /// and all match the golden model.
     #[test]
-    fn fast_kernel_is_bit_identical_to_instrumented_paths(
+    fn replayed_paths_are_bit_identical_to_live_decode(
         in_maps in 1usize..3,
         c_maps in 1usize..5,
         w in 8usize..20,
@@ -191,14 +192,25 @@ proptest! {
         let prepared = accel.prepare(&net).expect("network fits");
         let mut session = prepared.session();
         let run = session.run(&input).expect("instrumented session run");
-        let inf = session.infer(&input).expect("fast-kernel infer");
+        let inf = session.infer(&input).expect("replayed infer");
         {
-            let r = session.infer_ref(&input).expect("fast-kernel infer_ref");
+            let r = session.infer_ref(&input).expect("replayed infer_ref");
             prop_assert_eq!(r.output(), inf.output());
             prop_assert_eq!(r.stats(), inf.stats());
             prop_assert_eq!(r.energy(), inf.energy());
         }
+        let mut live = prepared.session();
+        live.set_schedule_replay(false);
+        let live_run = live.run(&input).expect("live-decode run");
+        let live_inf = live.infer(&input).expect("live-decode infer");
 
+        prop_assert_eq!(live_run.output(), golden.output());
+        prop_assert_eq!(live_run.layer_outputs(), run.layer_outputs());
+        prop_assert_eq!(live_run.stats(), run.stats());
+        prop_assert_eq!(live_run.energy(), run.energy());
+        prop_assert_eq!(live_inf.output(), inf.output());
+        prop_assert_eq!(live_inf.stats(), inf.stats());
+        prop_assert_eq!(live_inf.energy(), inf.energy());
         prop_assert_eq!(legacy.output(), golden.output());
         prop_assert_eq!(run.output(), golden.output());
         prop_assert_eq!(inf.output_flat(), golden.output());
@@ -208,12 +220,12 @@ proptest! {
         prop_assert_eq!(inf.energy(), legacy.energy());
     }
 
-    /// Under an active fault plan the fast kernel must disable itself:
-    /// `infer` (which is the fast path when fault-free) must reproduce
-    /// the instrumented faulted run exactly — same corrupted outputs,
-    /// same statistics, same fault counters.
+    /// Under an active fault plan (silent SRAM flips, stuck PEs) the
+    /// replayed `run` and `infer` must reproduce a live-decode session's
+    /// faulted run exactly — same corrupted outputs, same statistics,
+    /// same fault counters.
     #[test]
-    fn fault_plans_disable_the_fast_kernel_bit_identically(
+    fn faulted_sessions_are_bit_identical_to_live_decode(
         nb_rate in prop_oneof![Just(0.0), Just(1e-3), Just(1e-2)],
         sb_rate in prop_oneof![Just(0.0), Just(1e-3)],
         pe_rate in prop_oneof![Just(0.0), Just(0.05)],
@@ -247,7 +259,15 @@ proptest! {
         let fault_stats_run = *session.fault_stats();
         let inf = session.infer(&input).expect("faulted infer");
         let fault_stats_inf = *session.fault_stats();
+        let mut live = prepared.session_with_faults(plan);
+        live.set_schedule_replay(false);
+        let live_run = live.run(&input).expect("live-decode faulted run");
 
+        prop_assert_eq!(live_run.output(), run.output());
+        prop_assert_eq!(live_run.layer_outputs(), run.layer_outputs());
+        prop_assert_eq!(live_run.stats(), run.stats());
+        prop_assert_eq!(live_run.energy(), run.energy());
+        prop_assert_eq!(*live.fault_stats(), fault_stats_run);
         prop_assert_eq!(run.output(), legacy.output());
         prop_assert_eq!(inf.output_flat(), legacy.output());
         prop_assert_eq!(run.stats(), legacy.stats());
