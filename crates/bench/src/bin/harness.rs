@@ -6,7 +6,7 @@
 //! ```
 //!
 //! `harness bench` times the harness itself — each experiment serially
-//! (`RAYON_NUM_THREADS=1`) and in parallel, plus prepared-session
+//! (on a one-worker rayon pool) and in parallel, plus prepared-session
 //! inference throughput through the zero-allocation datapath — and
 //! writes the machine-readable `BENCH_harness.json` next to the working
 //! directory. It also times the instrumented path through schedule

@@ -295,13 +295,7 @@ impl CascadeBenchReport {
 /// writes `BENCH_cascade.json`, and returns `(stdout summary, gate
 /// violations)` under the harness's unified exit-code policy.
 pub fn run_cascade(smoke: bool) -> (String, Vec<String>) {
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = evaluate(smoke).map(|r| r.to_json());
-    match &saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    let serial = crate::on_one_worker(|| evaluate(smoke).map(|r| r.to_json()));
     let report = match evaluate(smoke) {
         Ok(r) => r,
         Err(e) => return (String::new(), vec![format!("cascade run failed: {e}")]),

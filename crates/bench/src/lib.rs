@@ -25,6 +25,18 @@ pub mod video;
 #[global_allocator]
 static GLOBAL_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
+/// Runs `f` with the rayon pool pinned to one worker on the calling
+/// thread — the serial pass of the harnesses' serial-vs-parallel
+/// byte-identity gates. The pin is scoped to `f` and this thread; the
+/// process environment is never touched.
+pub(crate) fn on_one_worker<R>(f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the vendored pool builds infallibly")
+        .install(f)
+}
+
 pub use cascade::{run_cascade, CascadeBenchReport};
 pub use experiments::{
     compute_paper_runs, design_space_sweep, fig18_speedups, fig19_energy, fig7_bandwidth,

@@ -5,7 +5,7 @@
 //! machine-readable `BENCH_harness.json`. Two families of numbers:
 //!
 //! * **Experiment timings** — every parallel-sensitive experiment is run
-//!   twice, once pinned to one worker (`RAYON_NUM_THREADS=1`) and once
+//!   twice, once pinned to a one-worker rayon pool and once
 //!   with the full thread pool, and the two results' `Debug` fingerprints
 //!   are compared so the JSON also certifies that parallel execution is
 //!   bit-identical to serial.
@@ -217,7 +217,7 @@ fn lookup<T: Copy>(table: &[(&str, T)], name: &str) -> Option<T> {
 pub struct ExperimentTiming {
     /// Experiment name (the harness subcommand vocabulary).
     pub name: String,
-    /// Wall-clock seconds with `RAYON_NUM_THREADS=1`.
+    /// Wall-clock seconds on a one-worker rayon pool.
     pub serial_s: f64,
     /// Wall-clock seconds with the full thread pool.
     pub parallel_s: f64,
@@ -781,13 +781,7 @@ fn serial_vs_parallel<T: std::fmt::Debug>(name: &str, f: impl Fn() -> T) -> Expe
             bit_identical: true,
         };
     }
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let (serial_s, serial_fp) = timed(&f);
-    match &saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    let (serial_s, serial_fp) = crate::on_one_worker(|| timed(&f));
     let (parallel_s, parallel_fp) = timed(&f);
     ExperimentTiming {
         name: name.to_string(),

@@ -745,13 +745,7 @@ impl TuneReport {
 /// writes `BENCH_tuner.json`, and returns `(stdout summary, gate
 /// violations)` under the harness's unified exit-code policy.
 pub fn run_tune(smoke: bool) -> (String, Vec<String>) {
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = evaluate(smoke).to_json();
-    match &saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    let serial = crate::on_one_worker(|| evaluate(smoke).to_json());
     let report = evaluate(smoke);
     let parallel = report.to_json();
     let third = evaluate(smoke).to_json();

@@ -11,7 +11,9 @@ use crate::exec::{replay, Engine, Scratch};
 use crate::hfsm::{FirstState, Hfsm};
 use crate::nfu::Nfu;
 use crate::sb::SynapseStore;
-use crate::schedule::{self, LayerOverlay, LayerSchedule, NetworkSchedule, ScheduleRecorder};
+use crate::schedule::{
+    self, LayerOverlay, LayerSchedule, NetworkSchedule, ReplayScope, ScheduleRecorder,
+};
 use crate::stats::{LayerStats, RunStats};
 use core::fmt;
 use shidiannao_cnn::{LayerBody, Network};
@@ -1091,13 +1093,14 @@ impl<'p> Session<'p> {
             // layer's replayed fault counters.
             let route = self.replay_route(i)?;
             let layer_stats = self.stats.current_layer_mut();
-            if let Some(rec) = self.recorder.as_deref_mut() {
-                rec.begin_layer(
-                    schedule::layer_replayable(cfg, layer),
-                    matches!(layer.body(), LayerBody::Fc { .. }),
-                );
-            }
-            let attach_recorder = self.recorder.is_some() && schedule::layer_replayable(cfg, layer);
+            let attach_recorder = match self.recorder.as_deref_mut() {
+                Some(rec) => {
+                    let scope = schedule::layer_scope(cfg, layer);
+                    rec.begin_layer(scope, matches!(layer.body(), LayerBody::Fc { .. }));
+                    scope == ReplayScope::AllRuns
+                }
+                None => false,
+            };
             let mut engine = Engine {
                 cfg,
                 nbin: &self.nbin,
@@ -1188,8 +1191,8 @@ impl<'p> Session<'p> {
             let (ow, oh) = layer.out_dims();
             self.nbout.begin_output(ow, oh, layer.out_maps())?;
             let route = self.replay_route(i)?;
-            // Metering discard: live-decoded layers (non-replayable ones,
-            // or all of them with replay off) still charge *something*;
+            // Metering discard: live-decoded layers (ones `replay_route`
+            // declines, or all of them with replay off) still charge *something*;
             // it is identical to what the canonical lane charged, so it
             // goes nowhere.
             let mut discard = LayerStats::default();
@@ -1229,11 +1232,16 @@ impl<'p> Session<'p> {
     ///
     /// Replay covers traced and silently-faulted runs too — that is its
     /// point — but stuck-at PEs corrupt values inside the propagation
-    /// network in ways the precompiled stream does not model, the
-    /// recording run itself must live-decode, and so must layers the
-    /// schedule does not model (§3f in DESIGN.md) or whose fault overlay
-    /// contains a detected error: those abort mid-layer with exact
-    /// partial statistics only live decode reproduces.
+    /// network in ways the precompiled stream does not model, and the
+    /// recording run itself must live-decode. Per layer, the schedule's
+    /// [`ReplayScope`] decides (§3f in DESIGN.md): `Never` layers
+    /// (packed convs) always live-decode; `CleanRuns` layers (LRN/LCN)
+    /// replay only while no fault plan is active, because their staged
+    /// NBout re-reads are fault-filtered live but absent from the
+    /// recorded address stream an overlay is built from; `AllRuns`
+    /// layers replay unless their fault overlay contains a detected
+    /// error: those abort mid-layer with exact partial statistics only
+    /// live decode reproduces.
     ///
     /// A replayed layer under a silent overlay has its NB flips applied
     /// to the installed input here and its fault-counter delta absorbed
@@ -1262,7 +1270,12 @@ impl<'p> Session<'p> {
         }
         let sched = &self.schedule.layers()[i];
         let overlay = faulted.then(|| &self.overlays[i]);
-        if !sched.replayable() || matches!(overlay, Some(LayerOverlay::Abort)) {
+        let replays = match sched.scope() {
+            ReplayScope::Never => false,
+            ReplayScope::CleanRuns => !faulted,
+            ReplayScope::AllRuns => !matches!(overlay, Some(LayerOverlay::Abort)),
+        };
+        if !replays {
             return Ok(None);
         }
         if let Some(LayerOverlay::Silent(s)) = overlay {

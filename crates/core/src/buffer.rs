@@ -181,6 +181,13 @@ impl NeuronBuffer {
                 available: self.capacity_bytes,
             });
         }
+        // The retired stack's maps join the pool first. A buffer that
+        // alternates between loading inputs and collecting outputs
+        // otherwise strands its input-sized map there and regrows a
+        // small one on every load.
+        if let Some(spare) = &mut self.spare {
+            spare.recycle_into(&mut self.pool);
+        }
         match &mut self.stack {
             Some(stack) => stack.clone_from_recycling(source, &mut self.pool),
             None => self.stack = Some(source.clone()),

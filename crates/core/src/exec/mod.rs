@@ -66,6 +66,8 @@ pub(crate) struct Scratch {
     /// Per-PE-row i64 lane accumulators for the vectorized window
     /// reduction (one slot per active PE column).
     pub sums: Vec<i64>,
+    /// Replayed LCN layers' staged μ, v and δ maps.
+    pub norm: norm::Stage,
 }
 
 /// Mutable execution context threaded through the layer executors.

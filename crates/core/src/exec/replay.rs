@@ -14,11 +14,14 @@
 //! per-PE sweep in `window.rs` (see the bit-identity contract in
 //! `values.rs`).
 //!
-//! Layers the replay executor does not model — normalization layers and
-//! multi-map-packed convolutions ([`crate::schedule::layer_replayable`])
-//! — and layers whose fault overlay detects an uncorrectable error
-//! (which must abort at the exact live access, with exact partial
-//! statistics) fall back to live decode in `accel.rs`.
+//! Normalization layers replay too, through the value-only kernels of
+//! `norm.rs`, but on clean runs only: their staged NBout re-reads are not
+//! in the recorded address stream, so under an active fault plan they
+//! live-decode ([`crate::schedule::ReplayScope::CleanRuns`]). Multi-map
+//! packed convolutions, which the replay executor does not model, and
+//! layers whose fault overlay detects an uncorrectable error (which must
+//! abort at the exact live access, with exact partial statistics) fall
+//! back to live decode in `accel.rs`.
 
 use super::values::{classifier_dot_raw, sum_to_raw, LaneKernel, ValueKernel};
 use super::window::blocks;
@@ -63,8 +66,9 @@ pub(crate) fn run_layer(
 /// replay bodies without the statistics absorb. The batched execution
 /// path calls this directly for lanes 1..N of a batch: control and
 /// statistics were already charged once by the canonical lane, and the
-/// bodies below never touch `eng.stats` (their epilogue metering goes to
-/// a local discard), so a value lane is exactly this call.
+/// bodies below (and `norm::values`) never touch `eng.stats` (their
+/// metering goes to a local discard), so a value lane is exactly this
+/// call.
 ///
 /// `row_lanes` selects the optimizer's whole-output-row conv/pool bodies
 /// ([`crate::opt`]): one lane-kernel sweep per output row instead of one
@@ -115,7 +119,8 @@ pub(crate) fn layer_values(
             fc(eng, layer, weights, *activation, sb_patches);
         }
         LayerBody::Lrn(_) | LayerBody::Lcn { .. } => {
-            unreachable!("non-replayable layer kind reached the replay executor")
+            eng.hfsm.enter(FirstState::Norm).expect("HFSM: norm entry");
+            super::norm::values(eng, layer);
         }
     }
 }

@@ -81,7 +81,7 @@ pub use nfu::Nfu;
 pub use opt::{OptConfig, OptReport};
 pub use pe::{PeMut, PeRef};
 pub use sb::SynapseStore;
-pub use schedule::{LayerSchedule, NetworkSchedule};
+pub use schedule::{LayerSchedule, NetworkSchedule, ReplayScope};
 pub use stats::{BufferTraffic, LayerStats, ReadMode, RunStats};
 
 /// The shared value-reduction kernels (vectorized lane kernel + scalar

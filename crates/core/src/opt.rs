@@ -58,7 +58,7 @@
 
 use crate::config::AcceleratorConfig;
 use crate::energy::EnergyModel;
-use crate::schedule::{LayerSchedule, NetworkSchedule};
+use crate::schedule::{LayerSchedule, NetworkSchedule, ReplayScope};
 use crate::stats::ReadMode;
 use shidiannao_cnn::{Layer, LayerBody, Network};
 use std::collections::HashMap;
@@ -150,10 +150,11 @@ impl OptReport {
     }
 }
 
-/// Optimizes a recorded schedule. Non-replayable layers (which
-/// live-decode every run) are copied verbatim; each enabled pass rewrites
-/// the replayable layers' cost model and replay stream as documented on
-/// [the module](self), never their outputs.
+/// Optimizes a recorded schedule. Layers that do not replay on every run
+/// (packed convs, which always live-decode, and normalization layers,
+/// which replay on clean runs only) are copied verbatim; each enabled
+/// pass rewrites the other layers' cost model and replay stream as
+/// documented on [the module](self), never their outputs.
 pub fn optimize(
     recorded: &NetworkSchedule,
     network: &Network,
@@ -182,7 +183,11 @@ fn optimize_layer(
     opt: &OptConfig,
     report: &mut OptReport,
 ) -> LayerSchedule {
-    if !sched.replayable() || !opt.any() {
+    // Only layers that replay on every run are rewritten. Packed convs
+    // never replay; normalization layers replay on clean runs only, and
+    // their recorded address stream is empty (their staged NBout
+    // re-reads are not in it), so no pass could price their traffic.
+    if sched.scope() != ReplayScope::AllRuns || !opt.any() {
         return sched.clone();
     }
     let mut out = sched.clone();
@@ -356,7 +361,9 @@ fn fifo_fold(
             (window.0, window.1),
         ),
         LayerBody::Fc { .. } => (layer.out_maps().div_ceil(cfg.pe_count()), (0, 0)),
-        // Non-replayable layer kinds never reach the optimizer passes.
+        // Normalization layers are copied verbatim by `optimize_layer`
+        // (clean-run-only replay, no recorded address stream), so they
+        // never reach the passes.
         LayerBody::Lrn(_) | LayerBody::Lcn { .. } => return,
     };
     if out.stats.fifo_h_peak > bound.0 || out.stats.fifo_v_peak > bound.1 {
@@ -408,7 +415,7 @@ mod tests {
             sb_reads: (0..25)
                 .map(|k| rec([0, 0, ((k / 5) << 32) | (k % 5)], 1))
                 .collect(),
-            replayable: true,
+            scope: ReplayScope::AllRuns,
             ..LayerSchedule::default()
         }
     }

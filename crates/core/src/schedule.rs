@@ -70,10 +70,8 @@ pub struct LayerSchedule {
     /// the layer — peaks are monotone across a run, so replay folds this
     /// in to keep any later live-decoded layer's peak stats identical.
     pub(crate) fifo_peaks_after: (usize, usize),
-    /// `false` for layers the replay executor does not model
-    /// (normalization layers, multi-map-packed convolutions): they
-    /// live-decode every run.
-    pub(crate) replayable: bool,
+    /// Which runs may replay this layer instead of live-decoding it.
+    pub(crate) scope: ReplayScope,
     /// `true` when the schedule optimizer has rewritten this layer's
     /// replay body to run whole output rows per lane-kernel call
     /// (conv/pool only — see [`crate::opt`]). Recordings always start
@@ -81,11 +79,41 @@ pub struct LayerSchedule {
     pub(crate) row_lanes: bool,
 }
 
+/// Which runs may replay a layer from its schedule instead of
+/// live-decoding it (stuck-at PEs and a disabled toggle still send every
+/// layer of a run to live decode).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ReplayScope {
+    /// No run: the replay executor does not model the layer
+    /// (multi-map-packed convolutions).
+    #[default]
+    Never,
+    /// Runs without an active fault plan. Normalization layers re-read
+    /// their staged μ and v maps from NBout (§8.4), and those re-reads
+    /// are not in the recorded address stream, so no fault overlay can
+    /// price them: under a plan they live-decode.
+    CleanRuns,
+    /// Every run: clean runs replay as pure arithmetic, faulted runs
+    /// through the layer's fault overlay (conv, pool, classifier).
+    AllRuns,
+}
+
 impl LayerSchedule {
-    /// `true` when sessions replay this layer instead of live-decoding
-    /// it.
+    /// `true` when sessions replay this layer on at least clean runs
+    /// instead of live-decoding it (see [`LayerSchedule::scope`]).
     pub fn replayable(&self) -> bool {
-        self.replayable
+        self.scope != ReplayScope::Never
+    }
+
+    /// Which runs may replay this layer.
+    pub fn scope(&self) -> ReplayScope {
+        self.scope
+    }
+
+    /// The layer's recorded statistics delta (before bank-conflict stall
+    /// folding) — what a replay absorbs in place of live decode.
+    pub fn stats(&self) -> &LayerStats {
+        &self.stats
     }
 
     /// Simulated cycles the layer contributes (before bank-conflict
@@ -150,9 +178,10 @@ impl NetworkSchedule {
         self.layers.len()
     }
 
-    /// How many layers sessions replay rather than live-decode.
+    /// How many layers sessions replay (on at least clean runs) rather
+    /// than live-decode.
     pub fn replayable_layers(&self) -> usize {
-        self.layers.iter().filter(|l| l.replayable).count()
+        self.layers.iter().filter(|l| l.replayable()).count()
     }
 
     /// Approximate heap footprint of the schedule — the control state a
@@ -246,7 +275,7 @@ pub(crate) struct ScheduleRecorder {
     layers: Vec<LayerSchedule>,
     nb: AccessSet,
     sb: AccessSet,
-    replayable: bool,
+    scope: ReplayScope,
     nb_flat: bool,
 }
 
@@ -255,11 +284,13 @@ impl ScheduleRecorder {
         ScheduleRecorder::default()
     }
 
-    /// Starts recording a layer. For non-replayable layers the engine
-    /// detaches the recorder, so no addresses arrive; the schedule entry
-    /// still exists (with its flag) to keep layer indices aligned.
-    pub(crate) fn begin_layer(&mut self, replayable: bool, nb_flat: bool) {
-        self.replayable = replayable;
+    /// Starts recording a layer. Only [`ReplayScope::AllRuns`] layers
+    /// need their address stream (fault overlays are built from it), so
+    /// for every other layer the engine detaches the recorder and no
+    /// addresses arrive; the schedule entry still exists (with its
+    /// scope) to keep layer indices aligned.
+    pub(crate) fn begin_layer(&mut self, scope: ReplayScope, nb_flat: bool) {
+        self.scope = scope;
         self.nb_flat = nb_flat;
     }
 
@@ -293,7 +324,7 @@ impl ScheduleRecorder {
             sb_reads,
             nb_flat: self.nb_flat,
             fifo_peaks_after,
-            replayable: self.replayable,
+            scope: self.scope,
             row_lanes: false,
         });
     }
@@ -305,16 +336,18 @@ impl ScheduleRecorder {
     }
 }
 
-/// Whether the replay executor models this layer under this
-/// configuration. Normalization layers (decomposed LRN/LCN sub-passes
-/// with staged NBout re-reads) and multi-map-packed convolutions always
-/// live-decode.
-pub(crate) fn layer_replayable(cfg: &AcceleratorConfig, layer: &Layer) -> bool {
+/// Which runs may replay this layer under this configuration.
+/// Multi-map-packed convolutions always live-decode; normalization layers
+/// (decomposed LRN/LCN sub-passes with staged NBout re-reads) replay on
+/// clean runs only.
+pub(crate) fn layer_scope(cfg: &AcceleratorConfig, layer: &Layer) -> ReplayScope {
     use shidiannao_cnn::LayerBody;
     match layer.body() {
-        LayerBody::Conv { .. } => !crate::exec::packed_applies_cfg(cfg, layer),
-        LayerBody::Pool { .. } | LayerBody::Fc { .. } => true,
-        LayerBody::Lrn(_) | LayerBody::Lcn { .. } => false,
+        LayerBody::Conv { .. } if crate::exec::packed_applies_cfg(cfg, layer) => ReplayScope::Never,
+        LayerBody::Conv { .. } | LayerBody::Pool { .. } | LayerBody::Fc { .. } => {
+            ReplayScope::AllRuns
+        }
+        LayerBody::Lrn(_) | LayerBody::Lcn { .. } => ReplayScope::CleanRuns,
     }
 }
 
@@ -500,7 +533,7 @@ mod tests {
         let sched = LayerSchedule {
             nb_reads: (0..64).map(|i| rec([0, i, 0], 2)).collect(),
             sb_reads: vec![rec([0, u64::MAX, 0], 4)],
-            replayable: true,
+            scope: ReplayScope::AllRuns,
             ..LayerSchedule::default()
         };
         assert_eq!(
@@ -523,7 +556,7 @@ mod tests {
         let double = mask.count_ones() > 1;
         let sched = LayerSchedule {
             nb_reads: vec![rec(addr, 5)],
-            replayable: true,
+            scope: ReplayScope::AllRuns,
             ..LayerSchedule::default()
         };
         match build_overlay(&plan, 0, &sched) {
@@ -556,7 +589,7 @@ mod tests {
             .expect("a single-bit fault fires somewhere");
         let sched = LayerSchedule {
             nb_reads: vec![rec(addr, 3)],
-            replayable: true,
+            scope: ReplayScope::AllRuns,
             ..LayerSchedule::default()
         };
         match build_overlay(&plan, 0, &sched) {
@@ -581,7 +614,7 @@ mod tests {
             .expect("a double-bit fault fires somewhere");
         let sched = LayerSchedule {
             nb_reads: vec![rec(addr, 1)],
-            replayable: true,
+            scope: ReplayScope::AllRuns,
             ..LayerSchedule::default()
         };
         assert_eq!(build_overlay(&plan, 0, &sched), LayerOverlay::Abort);

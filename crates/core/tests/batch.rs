@@ -7,7 +7,9 @@
 //! steady-state `infer_batch_into` performs zero heap allocations.
 
 use proptest::prelude::*;
-use shidiannao_cnn::{Activation, ConvSpec, FcSpec, LrnSpec, Network, NetworkBuilder, PoolSpec};
+use shidiannao_cnn::{
+    zoo, Activation, ConvSpec, FcSpec, LcnSpec, LrnSpec, Network, NetworkBuilder, PoolSpec,
+};
 use shidiannao_core::alloc_count::{count_allocations, CountingAlloc};
 use shidiannao_core::{
     Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, RunError, SramProtection,
@@ -20,7 +22,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Runs `inputs` through one `infer_batch` and through N sequential
 /// `infer` calls on a second session under the same plan, and asserts
-/// every per-lane observable is bit-identical.
+/// every per-lane observable is bit-identical. The sequential session
+/// live-decodes every layer, so replayed value lanes are checked against
+/// the reference executor, not against replay itself.
 fn check_batch_matches_sequential(
     net: &Network,
     cfg: AcceleratorConfig,
@@ -37,7 +41,7 @@ fn check_batch_matches_sequential(
     let mut batch = prepared.session_with_faults(plan);
     let mut seq = prepared.session_with_faults(plan);
     batch.set_schedule_replay(replay);
-    seq.set_schedule_replay(replay);
+    seq.set_schedule_replay(false);
 
     match batch.infer_batch(&inputs) {
         Ok(results) => {
@@ -128,7 +132,7 @@ proptest! {
     }
 
     #[test]
-    fn non_replayable_layers_batch_bit_identical(
+    fn lrn_layers_batch_bit_identical(
         maps in 1usize..4,
         window in 1usize..5,
         w in 5usize..9,
@@ -137,8 +141,9 @@ proptest! {
         protection in protections(),
         seed in 0u64..1000,
     ) {
-        // LRN layers are not modeled by the schedule: batch value lanes
-        // must live-decode them mid-run while replaying neighbours.
+        // Batch value lanes replay LRN layers on clean runs and
+        // live-decode them mid-run under a fault plan, while replaying
+        // their neighbours either way.
         let net = NetworkBuilder::new("p", maps, (w, w))
             .conv(ConvSpec::new(maps, (2, 2)))
             .lrn(LrnSpec { window_maps: window, k: 1.0, alpha: 0.5 })
@@ -149,6 +154,63 @@ proptest! {
             &net,
             AcceleratorConfig::paper(),
             plan(seed ^ 0x10A7, rate, protection, 0.0),
+            true,
+            batch_n,
+            seed,
+        )?;
+    }
+
+    #[test]
+    fn random_lcn_layers_batch_bit_identical(
+        maps in 1usize..=4,
+        window in prop_oneof![Just(3usize), Just(5usize)],
+        w in 6usize..11,
+        h in 6usize..11,
+        batch_n in 2usize..=5,
+        rate in rates(),
+        protection in protections(),
+        seed in 0u64..1000,
+    ) {
+        // LCN layers through the value-only kernels on every lane of a
+        // clean batch, and through live decode under a fault plan.
+        let net = NetworkBuilder::new("p", maps, (w, h))
+            .conv(ConvSpec::new(maps, (2, 2)))
+            .lcn(LcnSpec::new(window))
+            .fc(FcSpec::new(5))
+            .build(seed)
+            .unwrap();
+        check_batch_matches_sequential(
+            &net,
+            AcceleratorConfig::paper(),
+            plan(seed ^ 0x1C4B, rate, protection, 0.0),
+            true,
+            batch_n,
+            seed,
+        )?;
+    }
+
+    #[test]
+    fn packed_conv_layers_batch_bit_identical(
+        maps in 2usize..5,
+        w in 4usize..=5,
+        batch_n in 2usize..=5,
+        rate in rates(),
+        protection in protections(),
+        seed in 0u64..1000,
+    ) {
+        // Multi-map-packed convolutions are not modeled by the schedule:
+        // value lanes live-decode them on every run, between a
+        // normalization layer and a classifier that replay.
+        let net = NetworkBuilder::new("p", 1, (w, w))
+            .conv(ConvSpec::new(maps, (2, 2)))
+            .lcn(LcnSpec::new(3))
+            .fc(FcSpec::new(4))
+            .build(seed)
+            .unwrap();
+        check_batch_matches_sequential(
+            &net,
+            AcceleratorConfig::paper().with_multi_map_packing(),
+            plan(seed ^ 0x9AC4, rate, protection, 0.0),
             true,
             batch_n,
             seed,
@@ -247,6 +309,49 @@ fn steady_state_batched_inference_allocates_nothing() {
         allocs, 0,
         "steady-state infer_batch_into must not touch the heap"
     );
+}
+
+#[test]
+fn every_zoo_network_infers_without_allocating() {
+    let accel = Accelerator::new(AcceleratorConfig::paper());
+    for builder in zoo::all().into_iter().chain(zoo::extended::all()) {
+        let net = builder.build(11).expect("builds");
+        let prepared = accel.prepare(&net).expect("fits");
+        let mut session = prepared.session();
+        let inputs: Vec<_> = (0..4).map(|i| net.random_input(i)).collect();
+        let mut outputs = Vec::new();
+        for _ in 0..3 {
+            for input in &inputs {
+                session.infer_ref(input).expect("runs");
+            }
+            session
+                .infer_batch_into(&inputs, &mut outputs)
+                .expect("batch runs");
+        }
+        let (single, ()) = count_allocations(|| {
+            for input in &inputs {
+                assert!(session.infer_ref(input).expect("runs").stats().cycles() > 0);
+            }
+        });
+        let (batched, ()) = count_allocations(|| {
+            let batch = session
+                .infer_batch_into(&inputs, &mut outputs)
+                .expect("batch runs");
+            assert_eq!(batch.len(), inputs.len());
+        });
+        assert_eq!(
+            single,
+            0,
+            "{}: steady-state infer_ref allocated",
+            net.name()
+        );
+        assert_eq!(
+            batched,
+            0,
+            "{}: steady-state infer_batch_into allocated",
+            net.name()
+        );
+    }
 }
 
 #[test]

@@ -5,9 +5,10 @@
 //! correctly against optimized schedules (DESIGN.md §3i).
 
 use proptest::prelude::*;
-use shidiannao_cnn::{zoo, Activation, ConvSpec, FcSpec, NetworkBuilder, PoolSpec};
+use shidiannao_cnn::{zoo, Activation, ConvSpec, FcSpec, LayerKind, NetworkBuilder, PoolSpec};
 use shidiannao_core::{
-    Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, OptConfig, SramProtection,
+    Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, OptConfig, OptReport, ReplayScope,
+    SramProtection,
 };
 
 fn activations() -> impl Strategy<Value = Activation> {
@@ -238,5 +239,81 @@ fn batched_lanes_replay_optimized_schedules() {
             "lane {lane} diverged"
         );
         assert_eq!(batch[lane].stats().cycles(), one.stats().cycles());
+    }
+}
+
+/// Normalization layers replay on clean runs but pass through the
+/// optimizer verbatim (their recorded address stream is empty, so no
+/// pass could price their traffic). The extended zoo's reports equal
+/// frozen values that count the conv, pool and classifier layers only,
+/// every norm layer's optimized schedule equals its recording, and
+/// optimized replay stays bit-identical to live decode.
+#[test]
+fn norm_layers_pass_through_the_optimizer_verbatim() {
+    let frozen = [
+        OptReport {
+            nb_reads_eliminated: 62304,
+            nb_modes_reselected: 9930,
+            sb_bytes_coalesced: 15936,
+            sb_accesses_coalesced: 9566,
+            cycles_saved: 236,
+            energy_saved_nj: 310.12751200000014,
+            layers_optimized: 6,
+            delta_load: true,
+        },
+        OptReport {
+            nb_reads_eliminated: 12936,
+            nb_modes_reselected: 1779,
+            sb_bytes_coalesced: 2496,
+            sb_accesses_coalesced: 1665,
+            cycles_saved: 98,
+            energy_saved_nj: 64.04987600000001,
+            layers_optimized: 5,
+            delta_load: true,
+        },
+        OptReport {
+            nb_reads_eliminated: 0,
+            nb_modes_reselected: 308,
+            sb_bytes_coalesced: 0,
+            sb_accesses_coalesced: 14,
+            cycles_saved: 0,
+            energy_saved_nj: 1.5218000000000016,
+            layers_optimized: 3,
+            delta_load: true,
+        },
+    ];
+    let accel = Accelerator::new(AcceleratorConfig::paper());
+    for (build, want) in zoo::extended::all().into_iter().zip(frozen) {
+        let net = build.build(2015).expect("builds");
+        let name = net.name();
+        let prepared = accel.prepare(&net).expect("fits");
+        assert_eq!(prepared.optimizer_report(), &want, "{name}");
+        let recorded = prepared.schedule().layers();
+        let optimized = prepared.optimized_schedule().layers();
+        for (i, layer) in net.layers().iter().enumerate() {
+            if matches!(layer.kind(), LayerKind::Lrn | LayerKind::Lcn) {
+                assert_eq!(optimized[i].scope(), ReplayScope::CleanRuns, "{name} {i}");
+                assert_eq!(optimized[i].stats(), recorded[i].stats(), "{name} {i}");
+                assert!(!optimized[i].row_lanes(), "{name} {i}");
+            }
+        }
+
+        let mut live = prepared.session();
+        live.set_schedule_replay(false);
+        let mut session = prepared.session();
+        session.set_optimized_replay(true);
+        for k in 0..3 {
+            let input = net.random_input(k);
+            let a = session.run(&input).expect("clean run");
+            let b = live.run(&input).expect("clean run");
+            assert_eq!(a.layer_outputs(), b.layer_outputs(), "{name} input {k}");
+            for (i, layer) in net.layers().iter().enumerate() {
+                if matches!(layer.kind(), LayerKind::Lrn | LayerKind::Lcn) {
+                    let (x, y) = (&a.stats().layers()[i + 1], &b.stats().layers()[i + 1]);
+                    assert_eq!(x, y, "{name} layer {i} stats");
+                }
+            }
+            assert!(a.stats().cycles() <= b.stats().cycles(), "{name}");
+        }
     }
 }

@@ -7,9 +7,12 @@
 //! `Arc` clone of its prepared network's schedule, never a copy.
 
 use proptest::prelude::*;
-use shidiannao_cnn::{Activation, ConvSpec, FcSpec, LrnSpec, Network, NetworkBuilder, PoolSpec};
+use shidiannao_cnn::{
+    zoo, Activation, ConvSpec, FcSpec, LayerKind, LcnSpec, LrnSpec, Network, NetworkBuilder,
+    PoolSpec,
+};
 use shidiannao_core::{
-    Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, RunError, SramProtection,
+    Accelerator, AcceleratorConfig, FaultConfig, FaultPlan, ReplayScope, RunError, SramProtection,
 };
 use std::sync::Arc;
 
@@ -157,7 +160,7 @@ proptest! {
     }
 
     #[test]
-    fn non_replayable_layers_fall_back_bit_identical(
+    fn lrn_layers_replay_bit_identical(
         maps in 1usize..5,
         window in 1usize..6,
         w in 4usize..9,
@@ -165,8 +168,8 @@ proptest! {
         protection in protections(),
         seed in 0u64..1000,
     ) {
-        // LRN layers are not modeled by the schedule: the session
-        // live-decodes them mid-run while still replaying neighbours.
+        // LRN layers replay on clean runs and live-decode mid-run under
+        // an active fault plan, while their neighbours replay either way.
         let net = NetworkBuilder::new("p", maps, (w, w))
             .conv(ConvSpec::new(maps, (2, 2)))
             .lrn(LrnSpec { window_maps: window, k: 1.0, alpha: 0.5 })
@@ -177,6 +180,68 @@ proptest! {
             &net,
             AcceleratorConfig::paper(),
             plan(seed ^ 0xCAFE, rate, protection, 0.0),
+            seed,
+        )?;
+    }
+
+    #[test]
+    fn random_lcn_layers_replay_bit_identical(
+        maps in 1usize..=4,
+        window in prop_oneof![Just(3usize), Just(5usize)],
+        w in 6usize..11,
+        h in 6usize..11,
+        rate in rates(),
+        protection in protections(),
+        seed in 0u64..1000,
+    ) {
+        // LCN layers replay through the value-only kernels on clean runs
+        // (rate 0) and fall back to live decode under a fault plan; both
+        // must match live decode, edge clipping included.
+        let net = NetworkBuilder::new("p", maps, (w, h))
+            .conv(ConvSpec::new(maps, (2, 2)))
+            .lcn(LcnSpec::new(window))
+            .fc(FcSpec::new(6))
+            .build(seed)
+            .unwrap();
+        check_replay_matches_live(
+            &net,
+            AcceleratorConfig::paper(),
+            plan(seed ^ 0x1C4, rate, protection, 0.0),
+            seed,
+        )?;
+    }
+
+    #[test]
+    fn packed_conv_layers_fall_back_bit_identical(
+        maps in 2usize..5,
+        w in 4usize..=5,
+        lcn in any::<bool>(),
+        rate in rates(),
+        protection in protections(),
+        seed in 0u64..1000,
+    ) {
+        // Multi-map-packed convolutions are the layers the schedule does
+        // not model: they live-decode on every run, between a replayed
+        // (clean runs) or live (faulted runs) normalization layer and a
+        // replayed classifier.
+        let builder = NetworkBuilder::new("p", 1, (w, w)).conv(ConvSpec::new(maps, (2, 2)));
+        let builder = if lcn {
+            builder.lcn(LcnSpec::new(3))
+        } else {
+            builder.lrn(LrnSpec { window_maps: 3, k: 1.0, alpha: 0.5 })
+        };
+        let net = builder.fc(FcSpec::new(4)).build(seed).unwrap();
+        let cfg = AcceleratorConfig::paper().with_multi_map_packing();
+        let prepared = Accelerator::new(cfg.clone()).prepare(&net).expect("fits");
+        let scopes: Vec<_> = prepared.schedule().layers().iter().map(|l| l.scope()).collect();
+        prop_assert_eq!(
+            scopes,
+            vec![ReplayScope::Never, ReplayScope::CleanRuns, ReplayScope::AllRuns]
+        );
+        check_replay_matches_live(
+            &net,
+            cfg,
+            plan(seed ^ 0x9AC4, rate, protection, 0.0),
             seed,
         )?;
     }
@@ -303,4 +368,67 @@ fn replay_toggle_round_trips() {
     assert_eq!(a.energy(), b.energy());
     assert_eq!(b.output(), c.output());
     assert_eq!(b.stats(), c.stats());
+}
+
+/// The extended zoo's normalization networks through every production
+/// entry point — `run`, `infer_ref`, `infer_batch_into`, and optimized
+/// replay — against live decode and the golden reference: outputs,
+/// per-layer outputs, statistics, and energy.
+#[test]
+fn norm_networks_replay_bit_identical_on_every_entry_point() {
+    let accel = Accelerator::new(AcceleratorConfig::paper());
+    for builder in [zoo::extended::alexnet_lite(), zoo::extended::jarrett_lcn()] {
+        for seed in 0..2u64 {
+            let net = builder.clone().build(seed).unwrap();
+            let prepared = accel.prepare(&net).unwrap();
+            let name = net.name();
+            let scopes = prepared.schedule().layers().iter().map(|l| l.scope());
+            assert!(
+                scopes.clone().any(|s| s == ReplayScope::CleanRuns),
+                "{name}: no norm layer"
+            );
+            assert!(scopes.clone().all(|s| s != ReplayScope::Never), "{name}");
+            let inputs: Vec<_> = (0..3).map(|k| net.random_input(seed * 10 + k)).collect();
+            let mut live = prepared.session();
+            live.set_schedule_replay(false);
+            let mut replay = prepared.session();
+            let mut optimized = prepared.session();
+            optimized.set_optimized_replay(true);
+            let mut batched = prepared.session();
+            let mut outputs = Vec::new();
+            let batch = batched.infer_batch_into(&inputs, &mut outputs).unwrap();
+            let batch_stats = batch.stats().clone();
+            let batch_energy = *batch.energy();
+            for (k, input) in inputs.iter().enumerate() {
+                let golden = net.forward_fixed(input);
+                let want = live.run(input).unwrap();
+                assert_eq!(want.output(), golden.output(), "{name} input {k}");
+                for (i, out) in want.layer_outputs().iter().enumerate() {
+                    assert_eq!(Some(out), golden.layer_output(i), "{name} layer {i}");
+                }
+                let got = replay.run(input).unwrap();
+                assert_eq!(got.layer_outputs(), want.layer_outputs(), "{name} run");
+                assert_eq!(got.stats(), want.stats(), "{name} run stats");
+                assert_eq!(got.energy(), want.energy(), "{name} run energy");
+                let r = replay.infer_ref(input).unwrap();
+                assert_eq!(r.output(), want.layer_outputs().last().unwrap(), "{name}");
+                assert_eq!(r.stats(), want.stats(), "{name} infer_ref stats");
+                assert_eq!(r.energy(), want.energy(), "{name} infer_ref energy");
+                assert_eq!(&outputs[k], r.output(), "{name} batch lane {k}");
+                assert_eq!(&batch_stats, want.stats(), "{name} batch stats");
+                assert_eq!(&batch_energy, want.energy(), "{name} batch energy");
+                // Optimized replay re-costs conv/pool/classifier layers
+                // only: its norm layers charge exactly what live decode
+                // does.
+                let o = optimized.run(input).unwrap();
+                assert_eq!(o.layer_outputs(), want.layer_outputs(), "{name} optimized");
+                for (i, layer) in net.layers().iter().enumerate() {
+                    if matches!(layer.kind(), LayerKind::Lrn | LayerKind::Lcn) {
+                        let (a, b) = (&o.stats().layers()[i + 1], &want.stats().layers()[i + 1]);
+                        assert_eq!(a, b, "{name} optimized layer {i} stats");
+                    }
+                }
+            }
+        }
+    }
 }

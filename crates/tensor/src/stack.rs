@@ -172,9 +172,7 @@ impl<T> MapStack<T> {
         self.width = width;
         self.height = height;
         let needed = width * height;
-        while let Some(m) = self.maps.pop() {
-            bin.push(m);
-        }
+        self.recycle_into(bin);
         for _ in 0..count {
             let m = match take_best_fit(bin, needed) {
                 Some(mut m) => {
@@ -197,9 +195,7 @@ impl<T> MapStack<T> {
         self.width = source.width;
         self.height = source.height;
         let needed = source.width * source.height;
-        while let Some(m) = self.maps.pop() {
-            bin.push(m);
-        }
+        self.recycle_into(bin);
         for src in &source.maps {
             let m = match take_best_fit(bin, needed) {
                 Some(mut m) => {
@@ -210,6 +206,14 @@ impl<T> MapStack<T> {
             };
             self.maps.push(m);
         }
+    }
+
+    /// Moves every map into `bin`, leaving the stack empty (its own map
+    /// list keeps its capacity) — how a retired stack offers its storage
+    /// to [`MapStack::refill_recycling`] and
+    /// [`MapStack::clone_from_recycling`] on another stack.
+    pub fn recycle_into(&mut self, bin: &mut Vec<FeatureMap<T>>) {
+        bin.append(&mut self.maps);
     }
 
     /// Appends a map.
